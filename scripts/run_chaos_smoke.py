@@ -24,7 +24,9 @@ The crash-safety contract, exercised end to end with real SIGKILLs:
    file on disk.  Rerunning the same command resumes from the
    snapshot, truncates the stream back to the checkpointed position,
    and finishes — the resulting JSONL must be **byte-identical** to an
-   uninterrupted run's, and the snapshot directory cleared.
+   uninterrupted run's, and the snapshot directory cleared.  This runs
+   on ``--backend count`` and on ``--backend agent``, whose snapshots
+   carry the per-agent state array.
 5. **Fabric crash** — a coordinator plus two workers; the victim
    worker carries the same injected fault, posts checkpoints to
    ``/snapshot``, and SIGKILLs itself mid-task.  The replacement
@@ -72,13 +74,17 @@ POST_CACHE_FAULT = "executor.post-cache:2:kill"
 WORKER_FAULT = "snapshot.post-save:2:kill"
 STREAM_FAULT = "snapshot.post-save:2:kill"
 
+#: Backends of the streamed-trajectory scenario: the count chain, and the
+#: agent backend, whose snapshots carry one state per agent.
+STREAM_BACKENDS = ("count", "agent")
+
 #: The streamed-trajectory scenario: big enough that the run spans
 #: several snapshot segments (so the kill lands mid-stream with rows
 #: both before and after the last checkpoint), small enough for CI.
-def stream_arguments(stream_path: pathlib.Path,
+def stream_arguments(backend: str, stream_path: pathlib.Path,
                      snapshots_dir: pathlib.Path) -> list[str]:
     return ["simulate", "--n", "20000", "--k", "3", "--steps", "240000",
-            "--backend", "count", "--seed", "11",
+            "--backend", backend, "--seed", "11",
             "--observe-every", "5000",
             "--observe", f"jsonl:{stream_path}",
             "--snapshots", str(snapshots_dir)]
@@ -253,55 +259,61 @@ def main(argv: list[str] | None = None) -> int:
               f"{len(records) - len(from_cache)} executed, snapshots "
               f"cleared", flush=True)
 
-        print(f"[4/6] streamed simulate killed mid-trajectory "
-              f"({STREAM_FAULT}); rerun resumes byte-identically",
-              flush=True)
-        reference_stream = work / "stream-reference.jsonl"
-        subprocess.run(
-            repro(*stream_arguments(reference_stream,
-                                    work / "stream-snaps-ref")),
-            cwd=REPO_ROOT,
-            env=child_environment(),
-            check=True,
-        )
-        victim_stream = work / "stream-victim.jsonl"
-        victim_snaps = work / "stream-snaps"
-        stream_args = stream_arguments(victim_stream, victim_snaps)
-        killed = subprocess.run(
-            repro(*stream_args),
-            cwd=REPO_ROOT,
-            env=child_environment(STREAM_FAULT),
-        )
-        check(killed.returncode != 0,
-              "fault-injected simulate exited 0 — the kill never fired")
-        check(victim_stream.exists() and victim_stream.stat().st_size > 0,
-              "the killed run streamed nothing before dying")
-        check(victim_stream.read_bytes()
-              != reference_stream.read_bytes(),
-              "the killed run's stream is already complete — the kill "
-              "fired too late to test resumption")
-        check(len(snapshot_files(victim_snaps)) > 0,
-              "the killed streaming run left no snapshot behind")
-        partial = victim_stream.stat().st_size
-        print(f"    died mid-trajectory with {partial} bytes streamed",
-              flush=True)
-        resumed_stream = subprocess.run(
-            repro(*stream_args),
-            cwd=REPO_ROOT,
-            env=child_environment(),
-        )
-        check(resumed_stream.returncode == 0,
-              "resumed streaming simulate failed")
-        check(victim_stream.read_bytes()
-              == reference_stream.read_bytes(),
-              "resumed stream differs from the uninterrupted run — "
-              "crash-equals-uninterrupted violated for JSONL streams")
-        check(snapshot_files(victim_snaps) == [],
-              f"completed streaming run left snapshots: "
-              f"{snapshot_files(victim_snaps)}")
-        print(f"    resumed: stream byte-identical "
-              f"({victim_stream.stat().st_size} bytes), snapshots "
-              f"cleared", flush=True)
+        for backend in STREAM_BACKENDS:
+            print(f"[4/6] streamed {backend} simulate killed "
+                  f"mid-trajectory ({STREAM_FAULT}); rerun resumes "
+                  f"byte-identically",
+                  flush=True)
+            reference_stream = work / f"stream-{backend}-reference.jsonl"
+            subprocess.run(
+                repro(*stream_arguments(
+                    backend, reference_stream,
+                    work / f"stream-{backend}-snaps-ref")),
+                cwd=REPO_ROOT,
+                env=child_environment(),
+                check=True,
+            )
+            victim_stream = work / f"stream-{backend}-victim.jsonl"
+            victim_snaps = work / f"stream-{backend}-snaps"
+            stream_args = stream_arguments(backend, victim_stream,
+                                           victim_snaps)
+            killed = subprocess.run(
+                repro(*stream_args),
+                cwd=REPO_ROOT,
+                env=child_environment(STREAM_FAULT),
+            )
+            check(killed.returncode != 0,
+                  "fault-injected simulate exited 0 — the kill never "
+                  "fired")
+            check(victim_stream.exists()
+                  and victim_stream.stat().st_size > 0,
+                  "the killed run streamed nothing before dying")
+            check(victim_stream.read_bytes()
+                  != reference_stream.read_bytes(),
+                  "the killed run's stream is already complete — the kill "
+                  "fired too late to test resumption")
+            check(len(snapshot_files(victim_snaps)) > 0,
+                  "the killed streaming run left no snapshot behind")
+            partial = victim_stream.stat().st_size
+            print(f"    died mid-trajectory with {partial} bytes "
+                  f"streamed", flush=True)
+            resumed_stream = subprocess.run(
+                repro(*stream_args),
+                cwd=REPO_ROOT,
+                env=child_environment(),
+            )
+            check(resumed_stream.returncode == 0,
+                  "resumed streaming simulate failed")
+            check(victim_stream.read_bytes()
+                  == reference_stream.read_bytes(),
+                  "resumed stream differs from the uninterrupted run — "
+                  "crash-equals-uninterrupted violated for JSONL streams")
+            check(snapshot_files(victim_snaps) == [],
+                  f"completed streaming run left snapshots: "
+                  f"{snapshot_files(victim_snaps)}")
+            print(f"    resumed: stream byte-identical "
+                  f"({victim_stream.stat().st_size} bytes), snapshots "
+                  f"cleared", flush=True)
 
         print("[5/6] fabric: victim worker dies mid-task "
               f"({WORKER_FAULT}); replacement continues", flush=True)

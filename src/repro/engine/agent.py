@@ -188,26 +188,17 @@ class AgentBackend(SimulationEngine):
         are peel-independent; see
         :meth:`~repro.engine.vectorized.ConflictFreeKernel.stamp_state`).
         """
-        from repro.engine.snapshot import (
-            SnapshotState,
-            encode_array,
-            rng_state,
-        )
+        from repro.engine.snapshot import SnapshotState
 
-        stamps = (self._kernel.stamp_state()
-                  if self._kernel is not None else None)
         payload = {
             "n": int(self.n),
             "n_states": int(self.model.n_states),
             "steps_run": int(self.steps_run),
-            "states": encode_array(self._states),
-            "counts": encode_array(self._counts),
-            "rng": rng_state(self.scheduler.rng),
-            "kernel": None if stamps is None else {
-                "stamp": stamps["stamp"],
-                "pos_i": encode_array(stamps["pos_i"]),
-                "pos_r": encode_array(stamps["pos_r"]),
-            },
+            "states": self._states.copy(),
+            "counts": self._counts.copy(),
+            "rng": self.scheduler.rng.bit_generator.state,
+            "kernel": (self._kernel.stamp_state()
+                       if self._kernel is not None else None),
         }
         return SnapshotState(kind="agent", payload=payload)
 
@@ -218,25 +209,17 @@ class AgentBackend(SimulationEngine):
         them); after this call any sequence of ``run`` calls is
         byte-identical to the snapshotting engine continuing.
         """
-        from repro.engine.snapshot import (
-            check_snapshot,
-            decode_array,
-            restore_rng,
-        )
+        from repro.engine.snapshot import check_snapshot, restore_rng
 
         payload = check_snapshot(snapshot, "agent", n=self.n,
                                  n_states=self.model.n_states)
-        self._states[:] = decode_array(payload["states"])
-        self._counts[:] = decode_array(payload["counts"])
+        self._states[:] = payload["states"]
+        self._counts[:] = payload["counts"]
         self.steps_run = int(payload["steps_run"])
         restore_rng(self.scheduler.rng, payload["rng"])
         stamps = payload.get("kernel")
         if stamps is not None:
-            self._ensure_kernel().restore_stamps({
-                "stamp": stamps["stamp"],
-                "pos_i": decode_array(stamps["pos_i"]),
-                "pos_r": decode_array(stamps["pos_r"]),
-            })
+            self._ensure_kernel().restore_stamps(stamps)
 
     def _result(self, converged, sink) -> EngineResult:
         sink.flush()

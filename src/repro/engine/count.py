@@ -354,35 +354,26 @@ class CountBackend(SimulationEngine):
         must hit identical states) and, for stochastic models, the
         kernel's peel stamps.
         """
-        from repro.engine.snapshot import (
-            SnapshotState,
-            encode_array,
-            rng_state,
-        )
+        from repro.engine.snapshot import SnapshotState
 
         payload = {
             "n": int(self.n),
             "n_states": int(self.model.n_states),
             "proxy": self._kernel is not None,
             "steps_run": int(self.steps_run),
-            "counts": encode_array(self._counts),
-            "rng": rng_state(self._rng),
+            "counts": self._counts.copy(),
+            "rng": self._rng.bit_generator.state,
         }
         if self._kernel is not None:
             kernel = self._kernel
-            stamps = kernel.stamp_state()
             payload["proxy_state"] = {
-                "states": encode_array(kernel.states),
+                "states": kernel.states.copy(),
                 "pair_counts": (None if kernel.pair_counts is None
-                                else encode_array(kernel.pair_counts)),
-                "kernel": None if stamps is None else {
-                    "stamp": stamps["stamp"],
-                    "pos_i": encode_array(stamps["pos_i"]),
-                    "pos_r": encode_array(stamps["pos_r"]),
-                },
+                                else kernel.pair_counts.copy()),
+                "kernel": kernel.stamp_state(),
             }
         elif self._pair_counts is not None:
-            payload["pair_counts"] = encode_array(self._pair_counts)
+            payload["pair_counts"] = self._pair_counts.copy()
         return SnapshotState(kind="count", payload=payload)
 
     def restore(self, snapshot: "SnapshotState") -> None:
@@ -393,33 +384,22 @@ class CountBackend(SimulationEngine):
         vector and its internal state array, so nothing may be
         reallocated.
         """
-        from repro.engine.snapshot import (
-            check_snapshot,
-            decode_array,
-            restore_rng,
-        )
+        from repro.engine.snapshot import check_snapshot, restore_rng
 
         payload = check_snapshot(snapshot, "count", n=self.n,
                                  n_states=self.model.n_states,
                                  proxy=self._kernel is not None)
-        self._counts[:] = decode_array(payload["counts"])
+        self._counts[:] = payload["counts"]
         self.steps_run = int(payload["steps_run"])
         restore_rng(self._rng, payload["rng"])
         if self._kernel is not None:
             proxy = payload["proxy_state"]
-            self._kernel.states[:] = decode_array(proxy["states"])
+            self._kernel.states[:] = proxy["states"]
             if self._kernel.pair_counts is not None:
-                self._kernel.pair_counts[:] = decode_array(
-                    proxy["pair_counts"])
-            stamps = proxy.get("kernel")
-            if stamps is not None:
-                self._kernel.restore_stamps({
-                    "stamp": stamps["stamp"],
-                    "pos_i": decode_array(stamps["pos_i"]),
-                    "pos_r": decode_array(stamps["pos_r"]),
-                })
+                self._kernel.pair_counts[:] = proxy["pair_counts"]
+            self._kernel.restore_stamps(proxy.get("kernel"))
         elif self._pair_counts is not None:
-            self._pair_counts[:] = decode_array(payload["pair_counts"])
+            self._pair_counts[:] = payload["pair_counts"]
 
     def run(self, max_steps: int, stop_when=None,
             observe_every: int | None = None,

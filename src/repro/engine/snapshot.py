@@ -4,17 +4,18 @@ Long simulations die — machines reboot, workers are preempted, sweeps
 are killed mid-task.  This module is the substrate that makes such
 deaths recoverable *without* changing a single byte of the trajectory:
 
-* :class:`SnapshotState` — a versioned, strict-JSON-serializable capture
-  of everything a backend mutates between ``run()`` calls: the exact
-  count (and, where applicable, per-agent state) arrays, the RNG
-  bitstream position (``bit_generator.state``), the interaction-count
-  cursor, and the conflict-resolution kernel's peel stamps when (and
-  only when) they influence future randomness consumption.
+* :class:`SnapshotState` — a versioned capture of everything a backend
+  mutates between ``run()`` calls: the exact count (and, where
+  applicable, per-agent state) arrays, the RNG bitstream position
+  (``bit_generator.state``), the interaction-count cursor, and the
+  conflict-resolution kernel's peel stamps when (and only when) they
+  influence future randomness consumption.  Backends put owned ndarray
+  copies in the payload; this module alone serializes them.
 * :class:`SnapshotStore` — an on-disk store with atomic
-  temp-file + ``os.replace`` writes, a per-document SHA-256 checksum,
-  and a two-generation fallback ladder (``latest`` → ``previous`` →
-  clean start) so a torn or truncated file is *detected*, never
-  silently resumed from.
+  temp-file + ``os.replace`` writes, a per-frame SHA-256 digest, and a
+  two-generation fallback ladder (``latest`` → ``previous`` → clean
+  start) so a torn or truncated file is *detected*, never silently
+  resumed from.
 * :class:`SnapshotChannel` / :func:`use_snapshot_channel` — the ambient
   plumbing that lets the runner hand a persistence channel down to deep
   experiment code without threading a parameter through every layer.
@@ -26,6 +27,29 @@ deaths recoverable *without* changing a single byte of the trajectory:
   **unconditionally** — with or without a channel attached — which is
   what makes an uninterrupted run and a crashed-and-resumed run
   byte-identical at the same seed.
+
+The frame
+---------
+
+:meth:`SnapshotState.to_bytes` writes one binary frame::
+
+    magic (8 bytes, FRAME_MAGIC)
+    SHA-256 digest (32 bytes) of everything after it
+    header length (8 bytes, little-endian unsigned)
+    header: canonical JSON {"version", "kind", "payload"}
+    array buffers, back to back
+
+The header holds the scalar payload as exact JSON — integers keep
+arbitrary precision, so PCG64's 128-bit state words survive — and each
+ndarray is replaced by a descriptor ``{"__ndarray__": {"offset",
+"nbytes"}, "stored", "dtype", "shape"}`` locating its raw bytes in the
+buffer section.  Integer arrays are stored in the narrowest dtype that
+holds their observed min/max (:func:`narrow`: per-agent strategy
+indices become ``uint8``) and decoded back to their original ``dtype``,
+so the round trip is lossless and restores assign into the engine's
+arrays exactly as before.  :meth:`SnapshotState.to_wire` carries the
+same document as strict JSON for the fabric's ``/snapshot``, with each
+array's narrowed bytes in base64 under ``"__ndarray__"``.
 
 The bit-for-bit contract
 ------------------------
@@ -47,7 +71,9 @@ import contextlib
 import contextvars
 import hashlib
 import json
+import math
 import os
+import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,13 +83,32 @@ import numpy as np
 from repro.engine.observe import ObserverSink, as_sink
 from repro.utils.errors import InvalidParameterError, ReproError
 
-#: Bump when the snapshot payload layout changes incompatibly; restore
-#: refuses other versions loudly instead of misinterpreting bytes.
-SNAPSHOT_VERSION = 1
+#: Bump when the snapshot layout changes incompatibly; restore refuses
+#: other versions loudly instead of misinterpreting bytes.  Version 2 is
+#: the binary frame; a version-1 JSON document fails verification.
+SNAPSHOT_VERSION = 2
 
 #: Default number of stop-check periods per resumable segment (the
 #: snapshot cadence of :func:`run_resumable`).
 SEGMENT_CHECKS = 8
+
+#: The first bytes of every snapshot frame.
+FRAME_MAGIC = b"REPROSNP"
+
+_DIGEST = slice(len(FRAME_MAGIC), len(FRAME_MAGIC) + 32)
+_LENGTH = struct.Struct("<Q")
+
+#: Key marking an array leaf in a frame header or wire document.
+_ARRAY = "__ndarray__"
+
+#: dtype kinds stored as raw buffers: bool, integers, floats, complex.
+_RAW_KINDS = "biufc"
+
+#: Narrowing candidates, smallest first, by whether values go negative.
+_NARROWER = {
+    False: tuple(np.dtype(name) for name in ("u1", "u2", "u4")),
+    True: tuple(np.dtype(name) for name in ("i1", "i2", "i4")),
+}
 
 
 class SnapshotError(ReproError, RuntimeError):
@@ -71,53 +116,111 @@ class SnapshotError(ReproError, RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Strict-JSON codecs (arrays, RNG state, numpy scalars)
+# Array codec: dtype narrowing, descriptors, wire form
 # ----------------------------------------------------------------------
-def encode_array(array: np.ndarray) -> dict:
-    """Lossless strict-JSON encoding of an ndarray (dtype/shape/base64)."""
+def narrow(array: np.ndarray) -> np.ndarray:
+    """``array`` C-contiguous in the narrowest dtype holding its values.
+
+    Integer arrays move to the smallest unsigned (or, with negative
+    values, signed) dtype that holds their observed min/max; other
+    dtypes are kept.  Casting the result back to ``array.dtype`` is
+    exact.
+    """
     array = np.ascontiguousarray(array)
-    return {
-        "__ndarray__": base64.b64encode(array.tobytes()).decode("ascii"),
-        "dtype": str(array.dtype),
-        "shape": [int(size) for size in array.shape],
-    }
+    if array.dtype.kind not in _RAW_KINDS:
+        raise SnapshotError(
+            f"a snapshot cannot store {array.dtype} arrays")
+    if array.dtype.kind not in "iu" or array.size == 0:
+        return array
+    low, high = int(array.min()), int(array.max())
+    for candidate in _NARROWER[low < 0]:
+        if candidate.itemsize >= array.dtype.itemsize:
+            break
+        limits = np.iinfo(candidate)
+        if limits.min <= low and high <= limits.max:
+            return array.astype(candidate)
+    return array
+
+
+def _describe(array: np.ndarray, stored: np.ndarray) -> dict:
+    return {"dtype": array.dtype.str, "stored": stored.dtype.str,
+            "shape": [int(size) for size in array.shape]}
+
+
+def _raw(stored: np.ndarray) -> np.ndarray:
+    """The bytes of a contiguous array, as a flat ``uint8`` view."""
+    return stored.reshape(-1).view(np.uint8)
+
+
+def _array_spec(document: dict):
+    """Validated ``(stored, dtype, shape, nbytes)`` of an array leaf."""
+    try:
+        names = document["stored"], document["dtype"]
+        shape = tuple(document["shape"])
+        if not all(isinstance(name, str) for name in names):
+            raise TypeError("dtypes must be strings")
+        stored, dtype = (np.dtype(name) for name in names)
+    except (KeyError, TypeError, ValueError) as error:
+        raise SnapshotError(f"malformed array payload: {error}") from error
+    if (stored.kind not in _RAW_KINDS or dtype.kind not in _RAW_KINDS
+            or not np.can_cast(stored, dtype, casting="safe")
+            or not all(isinstance(size, int) and not isinstance(size, bool)
+                       and size >= 0 for size in shape)):
+        raise SnapshotError(
+            f"malformed array payload: stored {stored} as {dtype} "
+            f"with shape {list(shape)}")
+    return stored, dtype, shape, math.prod(shape) * stored.itemsize
+
+
+def _rebuild(raw, document: dict) -> np.ndarray:
+    """An owned array of the leaf's original dtype from its raw bytes."""
+    stored, dtype, shape, nbytes = _array_spec(document)
+    if len(raw) != nbytes:
+        raise SnapshotError(
+            f"malformed array payload: {len(raw)} bytes for "
+            f"{nbytes}-byte {stored} data")
+    return np.frombuffer(raw, dtype=stored).astype(dtype).reshape(shape)
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """Strict-JSON form of an ndarray: narrowed bytes in base64."""
+    stored = narrow(array)
+    return {_ARRAY: base64.b64encode(_raw(stored)).decode("ascii"),
+            **_describe(array, stored)}
 
 
 def decode_array(document: dict) -> np.ndarray:
     """Inverse of :func:`encode_array` (returns a fresh writable array)."""
     try:
-        raw = base64.b64decode(document["__ndarray__"], validate=True)
-        array = np.frombuffer(raw, dtype=document["dtype"])
-        return array.reshape(document["shape"]).copy()
+        raw = base64.b64decode(document[_ARRAY], validate=True)
     except (KeyError, TypeError, ValueError) as error:
         raise SnapshotError(f"malformed array payload: {error}") from error
+    return _rebuild(raw, document)
 
 
-def jsonable(value):
-    """Recursively convert numpy scalars/arrays into strict-JSON values.
-
-    Integers pass through as exact Python ints (arbitrary precision —
-    the interaction-count cursor and PCG64's 128-bit state words must
-    never round-trip through floats).
-    """
+def _encode_tree(value, leaf):
+    """``value`` as JSON data, each ndarray replaced by ``leaf(array)``."""
     if isinstance(value, np.ndarray):
-        return encode_array(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+        return leaf(value)
     if isinstance(value, dict):
-        return {str(key): jsonable(item) for key, item in value.items()}
+        return {str(key): _encode_tree(item, leaf)
+                for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [jsonable(item) for item in value]
+        return [_encode_tree(item, leaf) for item in value]
+    if isinstance(value, np.generic):
+        return value.item()
     return value
 
 
-def rng_state(rng: np.random.Generator) -> dict:
-    """The generator's exact bitstream position, strict-JSON encodable."""
-    return jsonable(rng.bit_generator.state)
+def _decode_tree(value, leaf):
+    """Inverse of :func:`_encode_tree`: array leaves via ``leaf(doc)``."""
+    if isinstance(value, dict):
+        if _ARRAY in value:
+            return leaf(value)
+        return {key: _decode_tree(item, leaf) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_decode_tree(item, leaf) for item in value]
+    return value
 
 
 def restore_rng(rng: np.random.Generator, state: dict) -> None:
@@ -127,12 +230,10 @@ def restore_rng(rng: np.random.Generator, state: dict) -> None:
         raise SnapshotError(
             f"snapshot holds {state.get('bit_generator')!r} generator "
             f"state, engine uses {name!r}")
-    decoded = {
-        key: decode_array(item)
-        if isinstance(item, dict) and "__ndarray__" in item else item
-        for key, item in state.items()
-    }
-    rng.bit_generator.state = decoded
+    try:
+        rng.bit_generator.state = state
+    except (KeyError, TypeError, ValueError) as error:
+        raise SnapshotError(f"malformed generator state: {error}") from error
 
 
 # ----------------------------------------------------------------------
@@ -148,8 +249,8 @@ class SnapshotState:
         The producing backend family (``"agent"`` / ``"count"`` /
         ``"weighted"``); restore refuses a mismatched kind loudly.
     payload:
-        Strict-JSON dict of the captured state (arrays via
-        :func:`encode_array`, RNG via :func:`rng_state`).
+        Dict of the captured state: JSON scalars, lists and dicts, owned
+        ndarrays, and the RNG position (``bit_generator.state``).
     version:
         Snapshot format version (:data:`SNAPSHOT_VERSION`).
     """
@@ -164,57 +265,94 @@ class SnapshotState:
         return int(self.payload["steps_run"])
 
     def to_bytes(self) -> bytes:
-        """Canonical checksummed JSON document (the on-disk/wire format)."""
-        body = json.dumps(
+        """The checksummed binary frame (the on-disk format)."""
+        buffers = []
+        offset = 0
+
+        def leaf(array):
+            nonlocal offset
+            stored = narrow(array)
+            raw = _raw(stored)
+            buffers.append(raw)
+            extent = {"offset": offset, "nbytes": raw.nbytes}
+            offset += raw.nbytes
+            return {_ARRAY: extent, **_describe(array, stored)}
+
+        header = json.dumps(
             {"version": self.version, "kind": self.kind,
-             "payload": self.payload},
-            sort_keys=True, separators=(",", ":"))
-        checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        return json.dumps({"checksum": checksum, "body": body}).encode(
-            "utf-8")
+             "payload": _encode_tree(self.payload, leaf)},
+            sort_keys=True, separators=(",", ":")).encode("utf-8")
+        length = _LENGTH.pack(len(header))
+        digest = hashlib.sha256(length)
+        digest.update(header)
+        for raw in buffers:
+            digest.update(raw)
+        return b"".join([FRAME_MAGIC, digest.digest(), length, header,
+                         *buffers])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SnapshotState":
-        """Decode and verify a document; torn/corrupt input raises."""
-        try:
-            outer = json.loads(data.decode("utf-8"))
-            checksum = outer["checksum"]
-            body = outer["body"]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
-                TypeError) as error:
+        """Decode and verify a frame; torn/corrupt input raises."""
+        view = memoryview(data)
+        start = _DIGEST.stop + _LENGTH.size
+        if len(view) < start or view[:_DIGEST.start] != FRAME_MAGIC:
             raise SnapshotError(
-                f"torn or malformed snapshot document: {error}") from error
-        actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        if actual != checksum:
+                "torn or malformed snapshot: not a version-2 frame")
+        body = view[_DIGEST.stop:]
+        if hashlib.sha256(body).digest() != view[_DIGEST]:
             raise SnapshotError(
                 "snapshot checksum mismatch (torn or corrupted write)")
-        document = json.loads(body)
-        if document.get("version") != SNAPSHOT_VERSION:
+        (length,) = _LENGTH.unpack_from(body)
+        buffers = view[start + length:]
+        try:
+            document = json.loads(bytes(view[start:start + length]))
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise SnapshotError(
-                f"snapshot version {document.get('version')!r} is not "
-                f"supported (expected {SNAPSHOT_VERSION})")
-        return cls(kind=document["kind"], payload=document["payload"],
-                   version=document["version"])
+                f"malformed snapshot header: {error}") from error
+
+        def leaf(descriptor):
+            try:
+                offset = int(descriptor[_ARRAY]["offset"])
+                nbytes = int(descriptor[_ARRAY]["nbytes"])
+            except (KeyError, TypeError, ValueError) as error:
+                raise SnapshotError(
+                    f"malformed array descriptor: {error}") from error
+            if offset < 0 or nbytes < 0 or offset + nbytes > len(buffers):
+                raise SnapshotError(
+                    "array descriptor points outside the frame")
+            return _rebuild(buffers[offset:offset + nbytes], descriptor)
+
+        return cls._from_document(document, leaf)
 
     def to_wire(self) -> dict:
         """Strict-JSON dict for HTTP transport (fabric ``/snapshot``)."""
         return {"version": self.version, "kind": self.kind,
-                "payload": self.payload}
+                "payload": _encode_tree(self.payload, encode_array)}
 
     @classmethod
     def from_wire(cls, document: dict) -> "SnapshotState":
+        """Decode and validate a :meth:`to_wire` document, arrays too."""
+        return cls._from_document(document, decode_array)
+
+    @classmethod
+    def _from_document(cls, document, leaf) -> "SnapshotState":
         try:
             version = document["version"]
             kind = document["kind"]
             payload = document["payload"]
         except (KeyError, TypeError) as error:
             raise SnapshotError(
-                f"malformed wire snapshot: {error}") from error
+                f"malformed snapshot document: {error}") from error
         if version != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"snapshot version {version!r} is not supported "
                 f"(expected {SNAPSHOT_VERSION})")
-        return cls(kind=kind, payload=payload, version=version)
+        if not isinstance(kind, str) or not isinstance(payload, dict):
+            raise SnapshotError(
+                "malformed snapshot document: kind must be a string and "
+                "payload an object")
+        return cls(kind=kind, payload=_decode_tree(payload, leaf),
+                   version=version)
 
 
 def check_snapshot(snapshot: SnapshotState, kind: str, **expected) -> dict:
@@ -548,6 +686,9 @@ def run_resumable(simulation, max_steps: int, stop_when, *,
                     payload={**snap.payload, "sink": stream.position()},
                     version=snap.version)
             channel.save(snap)
+            # Drop the capture before the next one is taken: its owned
+            # arrays are as large as the engine's (80 MB at n=1e7).
+            del snap
     if stream is not None:
         stream.flush()
     return bool(converged)

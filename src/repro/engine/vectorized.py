@@ -414,12 +414,12 @@ class ConflictFreeKernel:
         (conflicting pairs execute in sampling order either way and the
         tables draw nothing), so ``None`` is returned and restore
         starts from fresh stamps.  Scratch buffers carry no history and
-        are never captured.
+        are never captured.  The stamp maps are returned as copies.
         """
         if not self._stochastic:
             return None
         return {"stamp": int(self._stamp),
-                "pos_i": self._pos_i, "pos_r": self._pos_r}
+                "pos_i": self._pos_i.copy(), "pos_r": self._pos_r.copy()}
 
     def restore_stamps(self, state: dict | None) -> None:
         """Adopt captured peel stamps (inverse of :meth:`stamp_state`)."""

@@ -46,6 +46,11 @@ PARAMS = ParamSpace(
 )
 
 
+def _nested(snapshot: SnapshotState) -> dict:
+    """A sub-snapshot as a payload entry; its arrays stay ndarrays."""
+    return {"kind": snapshot.kind, "payload": snapshot.payload}
+
+
 class _CoalescencePair:
     """Two opposite-corner chains advancing in lockstep probe blocks.
 
@@ -98,8 +103,8 @@ class _CoalescencePair:
 
     def snapshot(self) -> SnapshotState:
         payload = {
-            "top": self.top.snapshot().to_wire(),
-            "bottom": self.bottom.snapshot().to_wire(),
+            "top": _nested(self.top.snapshot()),
+            "bottom": _nested(self.bottom.snapshot()),
             "rows": self.rows,
             "meeting": self.meeting,
             "met_top": self.met_top,
@@ -111,8 +116,8 @@ class _CoalescencePair:
 
     def restore(self, snapshot: SnapshotState) -> None:
         payload = snapshot.payload
-        self.top.restore(SnapshotState.from_wire(payload["top"]))
-        self.bottom.restore(SnapshotState.from_wire(payload["bottom"]))
+        self.top.restore(SnapshotState(**payload["top"]))
+        self.bottom.restore(SnapshotState(**payload["bottom"]))
         self.rows = int(payload["rows"])
         self.meeting = payload["meeting"]
         self.met_top = payload["met_top"]

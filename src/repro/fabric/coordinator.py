@@ -302,7 +302,9 @@ class Coordinator:
         time); a never-issued lease id is a 409.  The snapshot lands in
         the coordinator's on-disk :class:`SnapshotStore`, so it
         survives coordinator restarts and is handed to whichever worker
-        next leases the key.
+        next leases the key.  Its arrays are decoded and validated on
+        arrival: a post whose arrays do not decode is refused as a
+        :class:`ProtocolError` instead of poisoning every later lease.
         """
         try:
             snapshot = SnapshotState.from_wire(wire)

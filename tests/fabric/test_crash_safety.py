@@ -170,6 +170,35 @@ class TestSnapshotEndpoint:
                 {"lease_id": state["lease"]["lease_id"], "worker": "w1"},
             )
 
+    @pytest.mark.parametrize(
+        "array",
+        [
+            {"__ndarray__": "!!!", "dtype": "<i8", "stored": "<i8", "shape": [1]},
+            # Valid base64, but 3 bytes cannot fill four int64s.
+            {"__ndarray__": "AAAA", "dtype": "<i8", "stored": "<i8", "shape": [4]},
+        ],
+    )
+    def test_undecodable_array_is_refused_not_stored(self, server, array):
+        # A stored poison would be handed to every later lease of the
+        # key, and each worker would die restoring it.
+        state = lease_snapshot_wire(server, {"steps_run": 1})
+        wire = SnapshotState(kind="count", payload={"steps_run": 2}).to_wire()
+        wire["payload"]["counts"] = array
+        with pytest.raises(ProtocolError, match="snapshot"):
+            http_call(
+                server.url,
+                "/snapshot",
+                {
+                    "lease_id": state["lease"]["lease_id"],
+                    "worker": "w1",
+                    "snapshot": wire,
+                },
+            )
+        key = state["lease"]["key"]
+        assert server.coordinator.snapshots.load(key).payload == {
+            "steps_run": 1
+        }
+
     def test_released_lease_answers_idempotently(self, server):
         state = lease_snapshot_wire(server, {"steps_run": 1})
         http_call(

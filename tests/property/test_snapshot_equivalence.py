@@ -13,6 +13,8 @@ ladder under torn writes, and the :mod:`repro.testing.faults` crash
 harness via real subprocess deaths.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +43,7 @@ from repro.engine.snapshot import (
     RecordingChannel,
     decode_array,
     encode_array,
+    narrow,
 )
 from repro.testing import FaultSpec, crash_point, reset_faults
 from repro.testing.faults import CRASH_EXIT_CODE, FAULTS_ENV
@@ -281,8 +284,9 @@ class TestValidation:
 
     def test_checksum_mismatch_detected(self):
         data = SnapshotState(kind="count", payload={"steps_run": 9})
-        corrupted = data.to_bytes().replace(b'steps_run\\":9',
-                                            b'steps_run\\":8')
+        # Flip a byte inside the frame's JSON header.
+        corrupted = data.to_bytes().replace(b'"steps_run":9',
+                                            b'"steps_run":8')
         assert corrupted != data.to_bytes()  # the flip really landed
         with pytest.raises(SnapshotError, match="checksum"):
             SnapshotState.from_bytes(corrupted)
@@ -314,6 +318,93 @@ class TestValidation:
                                  payload={"steps_run": 3, "word": huge})
         assert SnapshotState.from_bytes(
             snapshot.to_bytes()).payload["word"] == huge
+
+
+# ----------------------------------------------------------------------
+# The frame codec: dtype narrowing, format version, frame size
+# ----------------------------------------------------------------------
+CODEC_ARRAYS = {
+    "fits-uint8": (np.array([0, 7, 255], dtype=np.int64), "|u1"),
+    "needs-uint16": (np.array([0, 256], dtype=np.int64), "<u2"),
+    "negative": (np.array([-1, 5, 127], dtype=np.int64), "|i1"),
+    "negative-wide": (np.array([-129, 0], dtype=np.int32), "<i2"),
+    "unsigned": (np.array([3, 2 ** 40], dtype=np.uint64), "<u8"),
+    "already-narrow": (np.array([1, 2], dtype=np.uint8), "|u1"),
+    "empty": (np.array([], dtype=np.int64), "<i8"),
+    "bool": (np.array([True, False, True]), "|b1"),
+    "float": (np.array([0.5, -np.inf, 1e300]), "<f8"),
+    "2-d": (np.arange(12, dtype=np.int64).reshape(3, 4), "|u1"),
+    "non-contiguous": (np.arange(40, dtype=np.int64).reshape(5, 8)[::2, 1::3],
+                       "|u1"),
+    "fortran": (np.asfortranarray(np.arange(6, dtype=np.int16).reshape(2, 3)),
+                "|u1"),
+    "0-d": (np.array(300, dtype=np.int64), "<u2"),
+}
+
+
+class TestFrameCodec:
+    @pytest.mark.parametrize("name", sorted(CODEC_ARRAYS))
+    def test_narrowing_round_trips_exactly(self, name):
+        array, stored = CODEC_ARRAYS[name]
+        assert narrow(array).dtype.str == stored
+        wire = encode_array(array)
+        assert wire["stored"] == stored
+        snapshot = SnapshotState(kind="count",
+                                 payload={"steps_run": 1, "a": array})
+        for back in (decode_array(wire),
+                     SnapshotState.from_bytes(
+                         snapshot.to_bytes()).payload["a"],
+                     SnapshotState.from_wire(
+                         snapshot.to_wire()).payload["a"]):
+            assert back.dtype == array.dtype
+            assert back.shape == array.shape
+            assert back.flags.writeable
+            assert not np.shares_memory(back, array)
+            np.testing.assert_array_equal(back, array)
+
+    def test_object_arrays_are_refused(self):
+        with pytest.raises(SnapshotError, match="object"):
+            SnapshotState(kind="count", payload={
+                "steps_run": 1, "a": np.array([None])}).to_bytes()
+
+    def test_wire_array_descriptors_are_validated(self):
+        good = encode_array(np.arange(4, dtype=np.int64))
+        bad = [
+            {**good, "shape": [5]},            # bytes do not fill the shape
+            {**good, "stored": "<f8"},         # float cannot restore int
+            {**good, "dtype": "O"},
+            {**good, "dtype": 8},
+            {**good, "shape": [-4]},
+            {key: value for key, value in good.items() if key != "stored"},
+        ]
+        for document in bad:
+            with pytest.raises(SnapshotError, match="malformed"):
+                decode_array(document)
+
+    def test_version_1_documents_are_refused(self, tmp_path):
+        # The pre-frame format: a checksummed JSON body inside JSON.
+        body = json.dumps({"version": 1, "kind": "count",
+                           "payload": {"steps_run": 4}},
+                          sort_keys=True, separators=(",", ":"))
+        legacy = json.dumps({
+            "checksum": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+            "body": body}).encode("utf-8")
+        with pytest.raises(SnapshotError, match="frame"):
+            SnapshotState.from_bytes(legacy)
+        with pytest.raises(SnapshotError, match="version"):
+            SnapshotState.from_wire(json.loads(body))
+        (tmp_path / "task.snap").write_bytes(legacy)
+        assert SnapshotStore(tmp_path).load("task") is None
+
+    def test_agent_frame_stores_one_byte_per_agent(self):
+        n = 1_000_000
+        engine = AgentBackend(igt_model(8), initial_states(n, 10), seed=3)
+        engine.run(10_000)
+        data = engine.snapshot().to_bytes()
+        # One uint8 per agent, plus counts, RNG words and the header.
+        assert n < len(data) < 1_100_000
+        back = SnapshotState.from_bytes(data).payload["states"]
+        np.testing.assert_array_equal(back, engine.states)
 
 
 # ----------------------------------------------------------------------
