@@ -70,8 +70,12 @@ def describe(name: str, obj) -> list[str]:
         for method_name, member in inspect.getmembers(obj):
             if method_name.startswith("_"):
                 continue
+            # Methods a class defines itself, plus those it inherits from
+            # a private base (undocumented, so its surface is the
+            # subclass's).
+            owner = getattr(member, "__qualname__", "").partition(".")[0]
             if (inspect.isfunction(member) or inspect.ismethod(member)) \
-                    and member.__qualname__.startswith(obj.__name__ + "."):
+                    and (owner == obj.__name__ or owner.startswith("_")):
                 methods.append(
                     f"- `{method_name}{signature_of(member)}` — "
                     f"{summary_line(member)}")

@@ -25,8 +25,10 @@ The crash-safety contract, exercised end to end with real SIGKILLs:
    snapshot, truncates the stream back to the checkpointed position,
    and finishes — the resulting JSONL must be **byte-identical** to an
    uninterrupted run's, and the snapshot directory cleared.  This runs
-   on ``--backend count`` and on ``--backend agent``, whose snapshots
-   carry the per-agent state array.
+   on ``--backend count`` (the array-proxy path at n = 2e4), on its
+   weighted lift (``--weights twoclass``), on the uniform birthday
+   driver (n = 2e6, above ``PROXY_MAX_N``), and on ``--backend agent``,
+   whose snapshots carry the per-agent state array.
 5. **Fabric crash** — a coordinator plus two workers; the victim
    worker carries the same injected fault, posts checkpoints to
    ``/snapshot``, and SIGKILLs itself mid-task.  The replacement
@@ -74,17 +76,25 @@ POST_CACHE_FAULT = "executor.post-cache:2:kill"
 WORKER_FAULT = "snapshot.post-save:2:kill"
 STREAM_FAULT = "snapshot.post-save:2:kill"
 
-#: Backends of the streamed-trajectory scenario: the count chain, and the
-#: agent backend, whose snapshots carry one state per agent.
-STREAM_BACKENDS = ("count", "agent")
+#: Engines of the streamed-trajectory scenario, by label: the count
+#: chain's array proxy, its weighted lift and its uniform birthday
+#: driver (n above ``PROXY_MAX_N``), and the agent backend, whose
+#: snapshots carry one state per agent.
+STREAM_CASES = {
+    "count": ["--backend", "count", "--n", "20000"],
+    "count-weighted": ["--backend", "count", "--n", "20000", "--weights", "twoclass"],
+    "count-birthday": ["--backend", "count", "--n", "2000000"],
+    "agent": ["--backend", "agent", "--n", "20000"],
+}
+
 
 #: The streamed-trajectory scenario: big enough that the run spans
 #: several snapshot segments (so the kill lands mid-stream with rows
 #: both before and after the last checkpoint), small enough for CI.
-def stream_arguments(backend: str, stream_path: pathlib.Path,
+def stream_arguments(case: str, stream_path: pathlib.Path,
                      snapshots_dir: pathlib.Path) -> list[str]:
-    return ["simulate", "--n", "20000", "--k", "3", "--steps", "240000",
-            "--backend", backend, "--seed", "11",
+    return ["simulate", *STREAM_CASES[case], "--k", "3",
+            "--steps", "240000", "--seed", "11",
             "--observe-every", "5000",
             "--observe", f"jsonl:{stream_path}",
             "--snapshots", str(snapshots_dir)]
@@ -259,23 +269,23 @@ def main(argv: list[str] | None = None) -> int:
               f"{len(records) - len(from_cache)} executed, snapshots "
               f"cleared", flush=True)
 
-        for backend in STREAM_BACKENDS:
-            print(f"[4/6] streamed {backend} simulate killed "
+        for case in STREAM_CASES:
+            print(f"[4/6] streamed {case} simulate killed "
                   f"mid-trajectory ({STREAM_FAULT}); rerun resumes "
                   f"byte-identically",
                   flush=True)
-            reference_stream = work / f"stream-{backend}-reference.jsonl"
+            reference_stream = work / f"stream-{case}-reference.jsonl"
             subprocess.run(
                 repro(*stream_arguments(
-                    backend, reference_stream,
-                    work / f"stream-{backend}-snaps-ref")),
+                    case, reference_stream,
+                    work / f"stream-{case}-snaps-ref")),
                 cwd=REPO_ROOT,
                 env=child_environment(),
                 check=True,
             )
-            victim_stream = work / f"stream-{backend}-victim.jsonl"
-            victim_snaps = work / f"stream-{backend}-snaps"
-            stream_args = stream_arguments(backend, victim_stream,
+            victim_stream = work / f"stream-{case}-victim.jsonl"
+            victim_snaps = work / f"stream-{case}-snaps"
+            stream_args = stream_arguments(case, victim_stream,
                                            victim_snaps)
             killed = subprocess.run(
                 repro(*stream_args),

@@ -33,7 +33,6 @@ sequential loop on ``backend="agent"``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -484,8 +483,7 @@ class IGTSimulation:
             self._counts[new] += 1
 
     def run(self, steps: int, observe_every: int | None = None,
-            observe=None,
-            record_every: int | None = None) -> np.ndarray | None:
+            observe=None) -> np.ndarray | None:
         """Run ``steps`` interactions.
 
         With ``observe_every`` set, returns the count-vector trajectory
@@ -494,8 +492,7 @@ class IGTSimulation:
         :class:`~repro.engine.observe.ObserverSink` (or spec string) —
         the sink sees the engine's *full* count vector (generosity
         indices plus AC/AD) and the method returns ``None`` for sinks
-        that retain no in-memory series.  ``record_every`` is the
-        deprecated pre-observer spelling of ``observe_every``.
+        that retain no in-memory series.
 
         Note on randomness: the engine draws scheduler randomness in
         vectorized blocks (and the count backend in birthday batches), so a
@@ -503,12 +500,6 @@ class IGTSimulation:
         generator differently — both sample the same process law, but their
         trajectories under a shared seed are not bitwise identical.
         """
-        if record_every is not None:
-            warnings.warn(
-                "record_every= is deprecated; use observe_every=",
-                DeprecationWarning, stacklevel=2)
-            if observe_every is None:
-                observe_every = record_every
         steps = check_positive_int("steps", steps, minimum=0)
         if self._step_loop_required:
             if observe is not None:

@@ -28,7 +28,6 @@ chain, which gives an O(1)-per-step simulator and a vectorized
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -224,8 +223,7 @@ class EhrenfestProcess:
         return np.bincount(coords - 1, minlength=k).astype(np.int64)
 
     def simulate_counts(self, x0, steps: int, seed=None,
-                        observe_every: int | None = None,
-                        record_every: int | None = None) -> np.ndarray:
+                        observe_every: int | None = None) -> np.ndarray:
         """Simulate the count chain for ``steps`` steps.
 
         Uses the coordinate representation internally (one ball index update
@@ -243,15 +241,8 @@ class EhrenfestProcess:
             shape ``(k,)``.  Otherwise return an array of shape
             ``(steps // observe_every + 1, k)`` holding the trajectory
             sampled every ``observe_every`` steps (including the initial
-            state).  ``record_every`` is the deprecated spelling of the
-            same knob (the engine layer's name is canonical).
+            state).
         """
-        if record_every is not None:
-            warnings.warn(
-                "record_every= is deprecated; use observe_every=",
-                DeprecationWarning, stacklevel=2)
-            if observe_every is None:
-                observe_every = record_every
         steps = check_positive_int("steps", steps, minimum=0)
         rng = as_generator(seed)
         coords = self.initial_coordinates(x0)

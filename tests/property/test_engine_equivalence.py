@@ -157,7 +157,7 @@ class TestAgentBackendBitCompat:
             strict=strict)
         sim = IGTSimulation(n=150, shares=shares, grid=grid, seed=seed,
                             mode="strict" if strict else "strategy")
-        recorded = sim.run(20_000, record_every=4999)
+        recorded = sim.run(20_000, observe_every=4999)
         assert np.array_equal(sim.gtft_indices(), ref_gtft)
         assert np.array_equal(sim.counts, ref_counts)
         assert np.array_equal(recorded, np.stack(ref_recorded))
