@@ -122,8 +122,8 @@ class PopulationGameSimulation:
         if eta <= 0:
             raise InvalidParameterError(f"eta must be positive, got {eta!r}")
         self.eta = float(eta)
-        self._weights = weights = resolve_weights(weights, self.n)
-        self._topology = topology = resolve_topology(topology, self.n)
+        weights = resolve_weights(weights, self.n)
+        topology = resolve_topology(topology, self.n)
         if topology is not None and weights is not None:
             raise InvalidParameterError(
                 "pass either weights= or topology=, not both: the "
@@ -223,32 +223,17 @@ class PopulationGameSimulation:
     def step(self) -> None:
         """One scheduled interaction (``backend="agent"``)."""
         strategies = self.strategies
-        rng = self._rng
-        uniform_law = self._weights is None and self._topology is None
-        if uniform_law:
-            i = int(rng.integers(0, self.n))
-            j = int(rng.integers(0, self.n - 1))
-            if j >= i:
-                j += 1
-        else:
-            i, j = self._scheduler.next_pair()
+        i, j = self._scheduler.next_pair()
         observed = None
         if self._model.slots_per_step == 4:
             # The rule reads two independently sampled opponents, drawn
             # from the scheduler's law.
-            if uniform_law:
-                oi = int(rng.integers(0, self.n - 1))
-                if oi >= i:
-                    oi += 1
-                oj = int(rng.integers(0, self.n - 1))
-                if oj >= j:
-                    oj += 1
-            else:
-                oi = int(self._scheduler.others_block([i])[0])
-                oj = int(self._scheduler.others_block([j])[0])
+            oi = int(self._scheduler.others_block([i])[0])
+            oj = int(self._scheduler.others_block([j])[0])
             observed = (int(strategies[oi]), int(strategies[oj]))
         new_u, _ = self._model.apply_scalar(int(strategies[i]),
-                                            int(strategies[j]), rng, observed)
+                                            int(strategies[j]), self._rng,
+                                            observed)
         self._switch(i, new_u)
         self.steps_run += 1
 

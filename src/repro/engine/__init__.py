@@ -25,14 +25,17 @@ newline-delimited JSON and online :class:`Reducer` sinks hold summaries —
 both constant-memory regardless of trajectory length, so observed runs
 stream at ``n = 10^9`` without materializing a single row in RAM.
 
-Non-uniform scheduling is first-class: any duck-compatible scheduler
+Non-uniform scheduling is first-class.  Each shipped pair law is one
+class — :class:`UniformPairSampler`, :class:`WeightedPairSampler`,
+:class:`GraphPairSampler` — which :mod:`repro.population.scheduler`
+re-exports under its scheduler names.  Any duck-compatible scheduler
 (``n`` / ``rng`` / ``pair_block``, plus the ``weights`` /
 ``others_block`` / ``topology`` capability attributes for non-uniform
 laws) plugs into :class:`AgentBackend`;
 :class:`WeightedCountBackend` (:mod:`repro.engine.weighted`) runs the
 exact ``(weight class × state)`` count chain that replaces the
 exchangeable count vector under a
-:class:`~repro.population.scheduler.WeightedScheduler`; and
+:class:`WeightedPairSampler`; and
 graph-restricted pair laws (:mod:`repro.engine.topology`) run quenched
 on :class:`AgentBackend` and degree-annealed on :class:`CountBackend`
 for vertex-transitive graphs.  Surfaces that cannot honor an advertised

@@ -3,7 +3,7 @@
 Executes the model's classic semantics: every agent's state is tracked
 individually and the sampled interactions are applied strictly one at a
 time.  Scheduler randomness is drawn in vectorized blocks through
-:meth:`repro.population.scheduler.RandomScheduler.pair_block` (the shared
+:meth:`~repro.engine.sampling.UniformPairSampler.pair_block` (the
 shift-trick sampler), exactly like the seed simulator — so for
 deterministic (table / mixture-of-table) models a fixed seed reproduces the
 pre-engine simulator's trajectories bit for bit.
@@ -38,7 +38,7 @@ Three inner loops:
 
 The scheduler is pluggable: anything exposing ``n`` / ``rng`` /
 ``pair_block`` works (e.g. a
-:class:`~repro.population.scheduler.WeightedScheduler` for heterogeneous
+:class:`~repro.engine.sampling.WeightedPairSampler` for heterogeneous
 contact processes), and every inner loop draws its pairs through it.  A
 scheduler advertising non-uniform ``weights`` but lacking the
 ``others_block`` method is rejected loudly for 4-slot models rather than
@@ -58,7 +58,6 @@ from repro.engine.vectorized import (
     ConflictFreeKernel,
     run_kernel,
 )
-from repro.utils import as_generator
 from repro.utils.errors import InvalidParameterError
 
 #: Above this ratio of population size to step budget, the list-based fast
@@ -80,7 +79,7 @@ class AgentBackend(SimulationEngine):
         Seed or generator (ignored when ``scheduler`` is given).
     scheduler:
         Optional pre-built pair scheduler (e.g. a
-        :class:`~repro.population.scheduler.RandomScheduler`) to share a
+        :class:`~repro.engine.sampling.UniformPairSampler`) to share a
         randomness stream with the caller; anything exposing
         ``n`` / ``rng`` / ``pair_block`` works.
     copy:
@@ -118,7 +117,7 @@ class AgentBackend(SimulationEngine):
         self._states = states
         self.n = states.size
         if scheduler is None:
-            scheduler = UniformPairSampler(self.n, as_generator(seed))
+            scheduler = UniformPairSampler(self.n, seed)
         elif scheduler.n != self.n:
             raise InvalidParameterError(
                 f"scheduler is over n={scheduler.n} agents, "

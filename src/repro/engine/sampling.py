@@ -1,31 +1,32 @@
-"""Shared ordered-pair sampling primitives.
+"""Ordered-pair sampling: the pair laws and their sampler classes.
 
-Two pair laws live here, each used identically by the engines and by the
-population-level schedulers:
+Two pair laws live here:
 
 * **uniform** — the single home of the "shift trick": drawing the second
   member of an ordered pair from ``n − 1`` values and bumping ties upward
-  is exactly uniform over the agents distinct from the first.  Both
-  engines and :class:`~repro.population.scheduler.RandomScheduler` route
-  their pair randomness through :func:`ordered_pair_block`, so a fixed
-  seed yields the same interaction schedule everywhere.
+  is exactly uniform over the agents distinct from the first.  Every
+  uniform draw in the repo routes through :func:`ordered_pair_block`, so
+  a fixed seed yields the same interaction schedule everywhere.
 * **activity-weighted** — the initiator is drawn proportionally to a
   per-agent weight (one uniform per draw through a Walker alias table,
   O(1) per draw regardless of population size) and the responder
   proportionally to weight among the *remaining* agents, by vectorized
-  rejection of clashes.
-  :class:`~repro.population.scheduler.WeightedScheduler` delegates its
-  blocks to :func:`weighted_pair_block`, so the scheduler and the engine
-  sampler share one law — and, under a shared seed, one bitstream.
+  rejection of clashes (:func:`weighted_pair_block`).
   The pre-alias cumulative-sum inversion draw survives as
   :func:`inversion_draw_block` (with :func:`weight_cdf`): it is the
   reference law the alias table is chi-square-tested against.
 
 A third pair law — uniform over the directed edges of an interaction
-graph — lives in :mod:`repro.engine.topology` and follows the same
-shared-function design (:class:`~repro.engine.topology.GraphPairSampler`
-and :class:`~repro.population.scheduler.GraphScheduler` draw from one
-bitstream).
+graph — lives in :mod:`repro.engine.topology`.
+
+Each law has exactly one scheduler class: :class:`UniformPairSampler`,
+:class:`WeightedPairSampler` and
+:class:`~repro.engine.topology.GraphPairSampler`.  They validate their
+inputs, own their generator (a seed, or a shared ``Generator`` adopted
+unchanged), and offer the scalar ``next_pair`` beside the engines'
+``pair_block`` / ``others_block``;
+:mod:`repro.population.scheduler` re-exports them as
+``RandomScheduler`` / ``WeightedScheduler`` / ``GraphScheduler``.
 
 Engines accept any duck-compatible scheduler exposing ``n`` / ``rng`` /
 ``pair_block``; schedulers whose law is *not* uniform must also
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils import as_generator, check_positive_int
 from repro.utils.errors import InvalidParameterError
 
 
@@ -224,8 +226,8 @@ def weighted_draw_block(rng, table: AliasTable, size: int) -> np.ndarray:
     """``size`` independent weight-proportional draws through ``table``.
 
     One uniform per draw through the shared alias table — kept as the
-    single module-level draw function so every weighted consumer
-    (engine sampler *and* population scheduler) shares the bitstream.
+    single module-level draw function so every weighted consumer shares
+    the bitstream.
     """
     return table.draw_block(rng, size)
 
@@ -235,8 +237,7 @@ def weighted_pair_block(rng, table: AliasTable, size: int, first=None):
 
     The initiator is weight-proportional; the responder is
     weight-proportional among the remaining agents, realized by redrawing
-    clashes (vectorized rejection) — exactly the law of
-    :meth:`~repro.population.scheduler.WeightedScheduler.next_pair`.
+    clashes (vectorized rejection).
     ``first`` supplies pre-drawn initiators (the 4-slot "observed other
     agent" use), in which case only responders are drawn.
     """
@@ -250,33 +251,56 @@ def weighted_pair_block(rng, table: AliasTable, size: int, first=None):
     return first, second
 
 
-class UniformPairSampler:
-    """Minimal uniform pair scheduler (duck-compatible with the engines).
+class _PairSampler:
+    """What the three pair-law classes share: ``n``, ``rng``, ``next_pair``.
 
-    Provides the ``n`` / ``rng`` / ``pair_block`` / ``others_block``
-    surface the engines need without importing the population package
-    (which would be circular);
-    :class:`~repro.population.scheduler.RandomScheduler` offers the same
-    surface with validation and a scalar API on top.
+    Subclasses set ``n``, implement ``pair_block`` / ``others_block``,
+    and override :attr:`weights` / :attr:`topology` where their law
+    deviates from the uniform one.
     """
 
-    #: Uniform law — engines read this to know no weighting is in play.
+    #: Uniform activity — engines read this to know no weighting is in play.
     weights = None
 
     #: Unrestricted pair support — no interaction graph is in play.
     topology = None
 
-    def __init__(self, n: int, rng: np.random.Generator):
-        self.n = int(n)
-        self._rng = rng
+    def __init__(self, seed=None):
+        self._rng = as_generator(seed)
 
     @property
     def rng(self) -> np.random.Generator:
         """The underlying generator (shared with the simulation)."""
         return self._rng
 
+    def next_pair(self) -> tuple[int, int]:
+        """One ordered pair ``(initiator, responder)`` from the law."""
+        first, second = self.pair_block(1)
+        return int(first[0]), int(second[0])
+
+
+class UniformPairSampler(_PairSampler):
+    """Samples ordered pairs of distinct agents uniformly at random.
+
+    The standard probabilistic scheduler of the population-protocol
+    literature and the source of all randomness in the paper's dynamics.
+
+    Parameters
+    ----------
+    n:
+        Population size (``n >= 2``).
+    seed:
+        Seed or generator for reproducible schedules; a ``Generator`` is
+        adopted unchanged, so the caller can share one stream.
+    """
+
+    def __init__(self, n: int, seed=None):
+        super().__init__(seed)
+        self.n = check_positive_int("n", n, minimum=2)
+
     def pair_block(self, size: int):
-        """``size`` ordered pairs of distinct agents."""
+        """``size`` ordered pairs of distinct agents (shift trick)."""
+        size = check_positive_int("size", size)
         return ordered_pair_block(self._rng, self.n, size)
 
     def others_block(self, first) -> np.ndarray:
@@ -285,39 +309,51 @@ class UniformPairSampler:
                                   first=first)[1]
 
 
-class WeightedPairSampler:
-    """Activity-weighted pair scheduler (duck-compatible with the engines).
+class WeightedPairSampler(_PairSampler):
+    """Activity-weighted pairwise scheduler (a robustness extension).
 
-    Each agent carries a positive activity weight; the initiator is drawn
-    proportionally to weight and the responder proportionally to weight
-    among the remaining agents (rejection only on clashes).  With equal
-    weights this is exactly the uniform scheduler's *law* (though not its
-    bitstream — alias draws, not the shift trick).
-    :class:`~repro.population.scheduler.WeightedScheduler` delegates its
-    blocks here, so a shared seed gives scheduler and sampler identical
-    blocks.
+    The paper's model samples pairs uniformly; real contact processes are
+    heterogeneous.  Each agent carries a positive activity weight; the
+    initiator is drawn proportionally to weight and the responder
+    proportionally to weight among the remaining agents (rejection only
+    on clashes).  With equal weights this is exactly the uniform
+    scheduler's *law* (though not its bitstream — alias draws, not the
+    shift trick).  Engine surfaces that cannot honor a non-uniform law
+    (the exchangeable count chain) read :attr:`weights` to refuse loudly
+    rather than silently downgrade.
+
+    Parameters
+    ----------
+    weights:
+        Per-agent activity weights (1-D, at least 2 agents, positive and
+        finite).
+    seed:
+        Seed or generator, as for :class:`UniformPairSampler`.
     """
 
-    #: Weighted but unrestricted: any pair remains possible.
-    topology = None
-
-    def __init__(self, weights, rng: np.random.Generator):
+    def __init__(self, weights, seed=None):
+        super().__init__(seed)
         w = check_weights(weights)
         self.n = w.size
-        self.weights = w / w.sum()
-        self.table = AliasTable(w)
-        self._rng = rng
+        self._weights = w / w.sum()
+        self._table = AliasTable(w)
 
     @property
-    def rng(self) -> np.random.Generator:
-        """The underlying generator (shared with the simulation)."""
-        return self._rng
+    def weights(self) -> np.ndarray:
+        """The normalized per-agent activity weights (copy)."""
+        return self._weights.copy()
+
+    @property
+    def table(self) -> AliasTable:
+        """The alias table every draw goes through."""
+        return self._table
 
     def pair_block(self, size: int):
         """``size`` weighted ordered pairs of distinct agents."""
-        return weighted_pair_block(self._rng, self.table, size)
+        size = check_positive_int("size", size)
+        return weighted_pair_block(self._rng, self._table, size)
 
     def others_block(self, first) -> np.ndarray:
         """One weighted *other* agent per entry of ``first`` (rejection)."""
-        return weighted_pair_block(self._rng, self.table, len(first),
+        return weighted_pair_block(self._rng, self._table, len(first),
                                    first=np.asarray(first))[1]

@@ -21,13 +21,12 @@ established for ``weights``:
   the spec itself, so identical specs give identical graphs under any
   simulation seed — exactly the determinism contract of
   :func:`~repro.engine.weighted.weights_from_spec`.
-* :class:`GraphPairSampler` — the engine-facing scheduler: ``pair_block``
-  draws uniform *directed edges* (equivalently: the initiator is drawn
-  proportionally to degree and the responder uniformly among its
-  neighbors), ``others_block`` draws one uniform neighbor per given
-  agent.  :class:`~repro.population.scheduler.GraphScheduler` delegates
-  its blocks to the same module-level functions, so scheduler and
-  sampler share one law and, under a shared seed, one bitstream.
+* :class:`GraphPairSampler` — the graph law's one scheduler class
+  (re-exported as :class:`~repro.population.scheduler.GraphScheduler`):
+  ``pair_block`` draws uniform *directed edges* (equivalently: the
+  initiator is drawn proportionally to degree and the responder
+  uniformly among its neighbors), ``others_block`` draws one uniform
+  neighbor per given agent, ``next_pair`` is one such edge.
 * :func:`topology_from_spec` / :func:`resolve_topology` — the textual
   spellings (``"complete"``, ``"ring[:w]"``, ``"grid[:rows]"``,
   ``"smallworld[:p]"``, ``"powerlaw[:alpha]"``) the experiment parameter
@@ -64,6 +63,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.sampling import _PairSampler
+from repro.utils import check_positive_int
 from repro.utils.errors import InvalidParameterError
 
 #: Root entropy of the spec-derived generators: graph specs must yield
@@ -465,7 +466,7 @@ def resolve_topology(topology, n: int) -> InteractionGraph | None:
 
 
 # ----------------------------------------------------------------------
-# Sampling — one law, one bitstream, shared with GraphScheduler
+# Sampling
 # ----------------------------------------------------------------------
 def graph_neighbor_block(rng, graph: InteractionGraph,
                          first) -> np.ndarray:
@@ -496,38 +497,55 @@ def graph_pair_block(rng, graph: InteractionGraph, size: int, first=None):
     return first, graph_neighbor_block(rng, graph, first)
 
 
-class GraphPairSampler:
-    """Graph-restricted pair scheduler (duck-compatible with the engines).
+class GraphPairSampler(_PairSampler):
+    """Graph-restricted pairwise scheduler (the topology family).
 
-    Pairs are uniform directed edges of the interaction graph — the
-    quenched law.  With the complete graph this is exactly the
-    :class:`~repro.engine.sampling.UniformPairSampler` *law* (though not
-    its bitstream: edge-index draws, not the shift trick).
-    :class:`~repro.population.scheduler.GraphScheduler` delegates its
-    blocks to the same module-level functions, so a shared seed gives
-    scheduler and sampler identical blocks.
+    Pairs are sampled uniformly from the *directed edges* of an
+    interaction graph — the quenched law: the initiator lands on a
+    vertex proportionally to its degree and the responder is a uniform
+    neighbor.  On a regular graph the initiator marginal is uniform,
+    matching the paper's scheduler marginals while restricting the pair
+    support to the edge set; on the complete graph the law is exactly
+    :class:`~repro.engine.sampling.UniformPairSampler`'s (though not its
+    bitstream: edge-index draws, not the shift trick).  The graph is
+    advertised as :attr:`topology`; surfaces that cannot honor a
+    restricted pair support (the exchangeable count chain, unless the
+    graph is vertex-transitive) read it to refuse loudly.
+
+    Parameters
+    ----------
+    topology:
+        An :class:`InteractionGraph`, a spec string (``"ring"``,
+        ``"grid:8"``, ``"smallworld:0.1"``, ...; see
+        :func:`topology_from_spec`), or an ``(E, 2)`` edge array.
+    seed:
+        Seed or generator, as for
+        :class:`~repro.engine.sampling.UniformPairSampler`.
+    n:
+        Population size; required when ``topology`` is not already an
+        :class:`InteractionGraph`, and checked against it when it is.
     """
 
-    #: The pair marginals are the graph's, not per-agent activity
-    #: weights — the non-uniformity is carried by :attr:`topology`.
-    weights = None
-
-    def __init__(self, graph: InteractionGraph, rng: np.random.Generator):
-        if not isinstance(graph, InteractionGraph):
-            raise InvalidParameterError(
-                "GraphPairSampler needs an InteractionGraph (build one "
-                "with resolve_topology / topology_from_spec)")
-        self.topology = graph
-        self.n = graph.n
-        self._rng = rng
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The underlying generator (shared with the simulation)."""
-        return self._rng
+    def __init__(self, topology, seed=None, *, n: int | None = None):
+        super().__init__(seed)
+        if n is not None or not isinstance(topology, InteractionGraph):
+            if n is None:
+                raise InvalidParameterError(
+                    "GraphPairSampler needs n= to resolve a non-graph "
+                    "topology argument")
+            graph = resolve_topology(topology, n)
+            if graph is None:
+                raise InvalidParameterError(
+                    f"topology {topology!r} is the unrestricted complete "
+                    f"graph, i.e. the uniform scheduler; use "
+                    f"RandomScheduler (UniformPairSampler) for it")
+            topology = graph
+        self.topology = topology
+        self.n = topology.n
 
     def pair_block(self, size: int):
         """``size`` ordered pairs of adjacent agents."""
+        size = check_positive_int("size", size)
         return graph_pair_block(self._rng, self.topology, size)
 
     def others_block(self, first) -> np.ndarray:

@@ -289,7 +289,7 @@ class WeightedCountBackend(_CountChain):
 
     Tracks the exact ``(weight class × state)`` count chain of an
     :class:`~repro.engine.model.InteractionModel` under the
-    :class:`~repro.population.scheduler.WeightedScheduler` law, via the
+    :class:`~repro.engine.sampling.WeightedPairSampler` law, via the
     product-space array-proxy kernel at small ``n`` and heterogeneous
     birthday-run batching beyond it (see the module docstring).  The
     engine-facing :attr:`counts` are the *inner* model's length-``S``

@@ -26,7 +26,6 @@ from repro.engine import AgentBackend, CountBackend, protocol_model
 from repro.engine.topology import resolve_topology
 from repro.population.protocol import PopulationProtocol
 from repro.population.scheduler import GraphScheduler
-from repro.utils import as_generator
 from repro.utils.errors import InvalidParameterError
 
 
@@ -76,8 +75,8 @@ class Simulator:
         Optional pair scheduler — e.g. a
         :class:`~repro.population.scheduler.WeightedScheduler` for
         heterogeneous contact processes; the engine draws every pair
-        through it (the uniform default is
-        :class:`~repro.population.scheduler.RandomScheduler`'s law).
+        through it (the default is a
+        :class:`~repro.population.scheduler.RandomScheduler`).
         Mutually exclusive with ``topology``.
     topology:
         Optional interaction graph restricting which pairs may meet —
@@ -100,9 +99,9 @@ class Simulator:
                 raise InvalidParameterError(
                     "pass either scheduler= or topology=, not both — a "
                     "topology builds its own GraphScheduler")
-            scheduler = GraphScheduler(graph, seed=as_generator(seed))
+            scheduler = GraphScheduler(graph, seed)
         self._backend = AgentBackend(protocol_model(protocol), initial_states,
-                                     seed=as_generator(seed),
+                                     seed=seed,
                                      vectorized=vectorized,
                                      scheduler=scheduler)
         self.states = self._backend.states_live
